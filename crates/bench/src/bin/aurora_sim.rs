@@ -30,7 +30,7 @@
 //!
 //! `--host-profile` turns on the host-side span profiler: the report
 //! gains a per-stage wall-clock breakdown (graph load, partition,
-//! mapping, route-table build, tile precompute, traffic kernels, engine
+//! mapping, route-leg build, tile precompute, traffic kernels, engine
 //! walk), printed as a table after the run and carried in the JSON
 //! form. With `AURORA_ALLOC_PROFILE=1` each stage also shows its heap
 //! allocation count and bytes. Aurora-only, like the other probes.

@@ -6,10 +6,12 @@
 //!
 //! Times the seed's O(E·hops) per-edge route walker (inlined below —
 //! the library keeps it only as a `#[cfg(test)]` oracle) against the
-//! shipped O(E + k⁴) route-table kernel on R-MAT graphs at the paper's
-//! k=8 sub-array radix, and prints the speedup per workload. Every
-//! timed pair is also checked for bit-identical estimates, so the bench
-//! doubles as an end-to-end equivalence test over full-size graphs.
+//! shipped O(E + k³) route-leg kernel (leg build included) on R-MAT
+//! graphs: plain meshes at the k=8 sub-array radix, and the paper's k=32
+//! with the multi-segment bypass plan the engine would configure. Prints
+//! the speedup per workload. Every timed pair is also checked for
+//! bit-identical estimates, so the bench doubles as an end-to-end
+//! equivalence test over full-size graphs.
 //!
 //! Wall-clock only — simulated cycles are identical by construction.
 //! `scripts/check.sh` runs this with `--quick` as an informational
@@ -19,9 +21,10 @@ use aurora_bench::cli::{fail, Args};
 use aurora_bench::emit::{Cell, Table};
 use aurora_core::noc_model::{aggregation_traffic, OnChipEstimate, DEFAULT_LINK_UTILISATION};
 use aurora_graph::generate;
+use aurora_mapping::plan::{plan_bypass, SegmentPlan};
 use aurora_mapping::{degree_aware, VertexMapping};
 use aurora_noc::routing::{compute_route, next_node};
-use aurora_noc::{NocConfig, NocError, Port, TopologyMode};
+use aurora_noc::{BypassSegment, NocConfig, NocError, Port, TopologyMode};
 use std::time::Instant;
 
 /// The seed's estimator: walk every edge's route hop by hop. Kept here
@@ -136,9 +139,7 @@ fn main() {
     }
     let reps = reps.max(1);
 
-    let k = 8usize;
     let msg_words = 16;
-    let cfg = NocConfig::mesh(k);
     let graphs = [
         (
             "rmat-4k",
@@ -149,18 +150,44 @@ fn main() {
             generate::rmat(16_384, 160_000, Default::default(), 9),
         ),
     ];
+    // (graph, radix, bypass plan?)
+    let rows = [(0, 8, false), (1, 8, false), (1, 32, true)];
 
     let mut t = Table::new(format!(
-        "noc_kernel_bench — k={k}, {msg_words}-word messages, best of {reps}"
+        "noc_kernel_bench — {msg_words}-word messages, best of {reps}"
     ))
-    .columns(&["workload", "edges", "walker ms", "kernel ms", "speedup"]);
+    .columns(&[
+        "workload",
+        "k",
+        "bypass segs",
+        "edges",
+        "walker ms",
+        "kernel ms",
+        "speedup",
+    ]);
 
-    for (name, g) in &graphs {
+    for (gi, k, bypass) in rows {
+        let (name, g) = &graphs[gi];
         // One tile spanning the whole graph: worst case for the walker
         // (every edge routed), steady state for the kernel.
         let n = g.num_vertices();
         let c_pe = n.div_ceil(k * k);
         let mapping = degree_aware::map(0..n as u32, &g.degrees(), k, c_pe);
+        let cfg = if bypass {
+            let plan = plan_bypass(&mapping, g.edges());
+            let seg = |s: &SegmentPlan| BypassSegment {
+                index: s.index,
+                from: s.from,
+                to: s.to,
+            };
+            NocConfig::with_bypass(
+                k,
+                plan.rows.iter().map(seg).collect(),
+                plan.cols.iter().map(seg).collect(),
+            )
+        } else {
+            NocConfig::mesh(k)
+        };
 
         let (walker_ms, walker) = time_ms(reps, || {
             legacy_aggregation_traffic(
@@ -170,7 +197,7 @@ fn main() {
                 msg_words,
                 DEFAULT_LINK_UTILISATION,
             )
-            .expect("mesh routes every pair")
+            .expect("valid config routes every pair")
         });
         let (kernel_ms, kernel) = time_ms(reps, || {
             aggregation_traffic(
@@ -180,12 +207,14 @@ fn main() {
                 msg_words,
                 DEFAULT_LINK_UTILISATION,
             )
-            .expect("mesh routes every pair")
+            .expect("valid config routes every pair")
         });
-        assert_eq!(kernel, walker, "{name}: kernel must match the walker");
+        assert_eq!(kernel, walker, "{name} k={k}: kernel must match the walker");
 
         t.row(vec![
             Cell::Str((*name).to_string()),
+            Cell::UInt(k as u64),
+            Cell::UInt((cfg.row_bypass.len() + cfg.col_bypass.len()) as u64),
             Cell::UInt(g.num_edges() as u64),
             Cell::float(walker_ms, 2),
             Cell::float(kernel_ms, 2),

@@ -176,17 +176,25 @@ fn matrix(k: usize, profiled: bool) -> Vec<(WorkloadResult, u64, u64)> {
     }
 }
 
-/// `git rev-parse --short HEAD` of the working tree, or `unknown`.
+/// `git rev-parse --short HEAD` of the working tree, suffixed `-dirty`
+/// when tracked files differ from it, or `unknown`.
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]).filter(|s| !s.is_empty()) {
+        Some(rev) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(changes) if !changes.is_empty() => format!("{rev}-dirty"),
+            _ => rev,
+        },
+        None => "unknown".to_string(),
+    }
 }
 
 fn unix_now() -> u64 {

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Reads the NDJSON ledger that `perf_regress --record` appends to and
-//! prints one row per workload: how many runs it has, its latest
+//! prints one row per workload and radix: how many runs it has, its latest
 //! simulated cycles (with the delta against its first recorded run —
 //! exact, since cycles are deterministic), and its wall-clock
 //! trajectory (median of the earlier runs vs the latest). A workload is
@@ -75,10 +75,14 @@ fn main() {
         return;
     }
 
-    // Group by workload, preserving append (time) order within each.
-    let mut by_workload: BTreeMap<&str, Vec<&HistoryRow>> = BTreeMap::new();
+    // Group by workload and radix, preserving append (time) order within
+    // each.
+    let mut by_workload: BTreeMap<(&str, u64), Vec<&HistoryRow>> = BTreeMap::new();
     for row in &rows {
-        by_workload.entry(&row.workload).or_default().push(row);
+        by_workload
+            .entry((&row.workload, row.k))
+            .or_default()
+            .push(row);
     }
 
     let mut t = Table::new(format!(
@@ -86,11 +90,11 @@ fn main() {
         rows.len()
     ))
     .columns(&[
-        "workload", "runs", "cycles", "cycles Δ", "wall med ms", "wall last ms", "wall Δ",
+        "workload", "k", "runs", "cycles", "cycles Δ", "wall med ms", "wall last ms", "wall Δ",
         "allocs", "steady", "drift",
     ]);
     let mut drifting = Vec::new();
-    for (workload, runs) in &by_workload {
+    for ((workload, k), runs) in &by_workload {
         let first = runs.first().expect("group is non-empty");
         let last = runs.last().expect("group is non-empty");
         let cycles_delta =
@@ -109,13 +113,14 @@ fn main() {
         let has_drift = history::sustained_drift(&walls, window, drift);
         if has_drift {
             drifting.push(format!(
-                "{workload}: last {window} runs all above {drift}x the earlier median \
+                "{workload} (k={k}): last {window} runs all above {drift}x the earlier median \
                  ({earlier_median:.1} ms; latest {:.1} ms)",
                 last.wall_ms
             ));
         }
         t.row(vec![
             (*workload).into(),
+            (*k).into(),
             runs.len().into(),
             last.cycles.into(),
             Cell::percent(cycles_delta, 2),

@@ -16,8 +16,9 @@ use std::io::Write as IoWrite;
 pub struct HistoryRow {
     /// Unix seconds when the row was recorded.
     pub ts: u64,
-    /// `git rev-parse --short HEAD` of the recording tree, or
-    /// `unknown` outside a checkout.
+    /// `git rev-parse --short HEAD` of the recording tree (suffixed
+    /// `-dirty` when tracked files were modified), or `unknown` outside
+    /// a checkout.
     pub git_rev: String,
     /// The `--name` of the recording run.
     pub name: String,

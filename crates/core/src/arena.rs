@@ -34,8 +34,8 @@ use std::sync::Arc;
 
 /// Interned-config cap: per-tile bypass plans repeat heavily across
 /// layers (same tiling, same mapping), so the table is tiny in
-/// practice; past the cap it flushes wholesale like the route-table
-/// cache.
+/// practice; past the cap it flushes wholesale like the engine's
+/// config interner.
 const MAX_INTERNED_CONFIGS: usize = 128;
 
 /// Per-worker-thread scratch for one tile's pure precompute.
@@ -286,10 +286,11 @@ impl TileSlabs {
 pub(crate) struct SeqScratch {
     pub keys: Vec<ProfileKey>,
     pub miss_tiles: Vec<usize>,
-    /// Per-miss-tile flag: `true` when a clean session tile replays its
-    /// stored traffic profile instead of binning (decided sequentially,
-    /// consumed by the parallel bin fan-out).
-    pub replay: Vec<bool>,
+    /// Per-miss-tile index into the layer's route-leg builds, or `None`
+    /// when a clean session tile replays its stored traffic profile
+    /// instead of binning (decided sequentially, consumed by the
+    /// parallel bin fan-out).
+    pub legs_of: Vec<Option<usize>>,
     pub est_a_of: Vec<Option<OnChipEstimate>>,
     pub est_as: Vec<OnChipEstimate>,
     pub exec_cycles: Vec<u64>,
@@ -300,7 +301,7 @@ impl SeqScratch {
     pub fn begin_layer(&mut self) {
         self.keys.clear();
         self.miss_tiles.clear();
-        self.replay.clear();
+        self.legs_of.clear();
         self.est_a_of.clear();
         self.est_as.clear();
         self.exec_cycles.clear();

@@ -25,7 +25,7 @@ use aurora_mapping::plan::{plan_bypass, SegmentPlan};
 use aurora_mapping::{degree_aware, hashing, MapView, MappingPolicy, VertexMapping};
 use aurora_mem::MemoryController;
 use aurora_model::{LayerShape, ModelId, Phase, Workload};
-use aurora_noc::{BypassSegment, NocConfig, RouteTable};
+use aurora_noc::{BypassSegment, NocConfig, RouteLegs};
 use aurora_partition::{partition, PartitionStrategy, TileIndex};
 use aurora_telemetry::span::{self, Stage};
 use aurora_telemetry::{names, tracks, Scope, Telemetry};
@@ -34,59 +34,47 @@ use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
 /// Identity of a tile's unit-flit traffic profile within one run: the
-/// profile is a pure function of the route table and the mapping, and
-/// the mapping of `(policy, k)` — fixed per run — is determined by the
-/// tile's vertex range and the per-PE capacity (which varies with each
-/// layer's `f_in`).
+/// profile is a pure function of the NoC configuration and the mapping,
+/// and the mapping of `(policy, k)` — fixed per run — is determined by
+/// the tile's vertex range and the per-PE capacity (which varies with
+/// each layer's `f_in`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct ProfileKey {
-    table_id: usize,
+    config_id: usize,
     start: u32,
     end: u32,
     c_pe: usize,
 }
 
-/// Cross-layer cache of [`RouteTable`]s (keyed by NoC configuration) and
-/// per-tile unit-flit [`TrafficProfile`]s, held for the duration of one
-/// `simulate*` call. Later layers over the same tiling rescale a cached
-/// profile by their own `flits_per_msg` instead of re-binning edges.
+/// Cross-layer cache of per-tile unit-flit [`TrafficProfile`]s, held for
+/// the duration of one run. Later layers over the same tiling rescale a
+/// cached profile by their own `flits_per_msg` instead of re-binning
+/// edges.
+///
+/// Route legs are cheap (O(k³) per configuration) and are rebuilt per
+/// layer, so no route state is cached. The config interner only numbers
+/// distinct NoC configurations: each first sight counts as one
+/// `noc.route_table.builds` with k⁴ `noc.route_table.pairs`, and the
+/// interner and profile cache flush together after
+/// [`MAX_ROUTE_CONFIGS`] configurations — the reported counters and
+/// profile hits depend on exactly this policy.
 ///
 /// All lookups and insertions happen on the sequential path of the
 /// engine, so hit/miss resolution — and therefore every telemetry
 /// counter — is identical at every `AURORA_THREADS` value.
 struct TrafficCache {
-    tables: Vec<TableSlot>,
-    table_ids: HashMap<NocConfig, usize>,
+    config_ids: HashMap<NocConfig, usize>,
     profiles: HashMap<ProfileKey, TrafficProfile>,
     /// Insertion order of `profiles`, for FIFO eviction.
     profile_order: VecDeque<ProfileKey>,
-    /// Pre-built tables carried across a session's applies (route tables
-    /// are pure functions of the config, so they never go stale).
-    /// Consulted by [`Self::ensure_built`] before paying the O(k⁴)
-    /// build; counters are untouched — they fire at intern time and must
-    /// match a cold run's exactly.
-    warm: HashMap<NocConfig, RouteTable>,
     builds: u64,
     hits: u64,
     misses: u64,
 }
 
-/// One interned NoC configuration and its lazily-built route table.
-/// Interning counts as the "build" for report/telemetry purposes (the
-/// numbers are what an eager build produced historically); the O(k⁴)
-/// all-pairs table itself is only materialised for tiles that actually
-/// bin edges — a session apply with one dirty tile routes one table,
-/// not one per tile.
-struct TableSlot {
-    cfg: NocConfig,
-    table: Option<RouteTable>,
-}
-
-/// Table cap: per-tile bypass plans give each tile its own config, so a
-/// deep multi-layer run can see many distinct tables; past the cap the
-/// cache flushes wholesale (ids index `tables`, so selective eviction
-/// would dangle the profile keys).
-const MAX_ROUTE_TABLES: usize = 64;
+/// Distinct configurations counted before the interner and the profile
+/// cache flush wholesale.
+const MAX_ROUTE_CONFIGS: usize = 64;
 
 /// Profile cap (FIFO eviction). Profiles are ~2 k² words each.
 const MAX_TILE_PROFILES: usize = 1024;
@@ -94,28 +82,23 @@ const MAX_TILE_PROFILES: usize = 1024;
 impl TrafficCache {
     fn new() -> Self {
         Self {
-            tables: Vec::new(),
-            table_ids: HashMap::new(),
+            config_ids: HashMap::new(),
             profiles: HashMap::new(),
             profile_order: VecDeque::new(),
-            warm: HashMap::new(),
             builds: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Interns `cfg`, allocating a table id on first sight. The counters
-    /// fire here — interning is the countable "build" event, and the
-    /// pair count is `k⁴` straight from the config — but the table
-    /// itself stays unbuilt until [`Self::ensure_built`].
+    /// Interns `cfg`, numbering it on first sight; first sights fire the
+    /// route-table counters.
     fn intern(&mut self, cfg: &NocConfig, tel: &Telemetry, scope: &Scope) -> usize {
-        if let Some(&id) = self.table_ids.get(cfg) {
+        if let Some(&id) = self.config_ids.get(cfg) {
             return id;
         }
-        if self.tables.len() >= MAX_ROUTE_TABLES {
-            self.tables.clear();
-            self.table_ids.clear();
+        if self.config_ids.len() >= MAX_ROUTE_CONFIGS {
+            self.config_ids.clear();
             self.profiles.clear();
             self.profile_order.clear();
         }
@@ -123,55 +106,9 @@ impl TrafficCache {
         tel.counter_add(names::NOC_ROUTE_TABLE_BUILDS, scope, 1);
         let n = cfg.k * cfg.k;
         tel.counter_add(names::NOC_ROUTE_TABLE_PAIRS, scope, (n * n) as u64);
-        let id = self.tables.len();
-        self.tables.push(TableSlot {
-            cfg: cfg.clone(),
-            table: None,
-        });
-        self.table_ids.insert(cfg.clone(), id);
+        let id = self.config_ids.len();
+        self.config_ids.insert(cfg.clone(), id);
         id
-    }
-
-    /// Materialises the route table for an interned id. A configuration
-    /// the NoC layer rejects surfaces as [`SimError::Noc`] instead of
-    /// aborting the run; callers invoke this sequentially in tile order,
-    /// so the first erroring tile decides the error exactly as the
-    /// historical build-at-intern did.
-    fn ensure_built(&mut self, id: usize) -> Result<(), SimError> {
-        let slot = &mut self.tables[id];
-        if slot.table.is_none() {
-            // a warm table can only exist for a config that built
-            // successfully before, so the error behaviour for bad
-            // configs is untouched by the session carry-over
-            slot.table = Some(match self.warm.remove(&slot.cfg) {
-                Some(t) => t,
-                None => RouteTable::build(&slot.cfg)?,
-            });
-        }
-        Ok(())
-    }
-
-    /// Drains every materialised table (and any unconsumed warm entries)
-    /// into `store`, for the next apply of the same session. Wholesale
-    /// reset past the cap, mirroring the in-run eviction policy.
-    fn harvest_into(&mut self, store: &mut HashMap<NocConfig, RouteTable>) {
-        if store.len() > MAX_ROUTE_TABLES {
-            store.clear();
-        }
-        store.extend(self.warm.drain());
-        for slot in self.tables.drain(..) {
-            if let Some(t) = slot.table {
-                store.insert(slot.cfg, t);
-            }
-        }
-        self.table_ids.clear();
-    }
-
-    fn table(&self, id: usize) -> &RouteTable {
-        self.tables[id]
-            .table
-            .as_ref()
-            .expect("route table materialised by the sequential ensure_built pass")
     }
 
     fn profile(&self, key: &ProfileKey) -> Option<&TrafficProfile> {
@@ -209,13 +146,12 @@ pub(crate) enum DirtyScope {
 
 /// One layer's warm artifacts between session applies: the SoA slabs the
 /// arena core wrote (mapping, bypass plans, `TileOut` rows) plus each
-/// tile's unit-flit traffic profile stamped with the signature of the
-/// route table it was binned under ([`RouteTable::signature`], the noc
-/// invalidation hook).
+/// tile's unit-flit traffic profile. A clean tile keeps its mapping and
+/// plan, hence its NoC configuration, so its profile stays valid.
 #[derive(Debug, Default)]
 pub(crate) struct SessionLayerState {
     pub(crate) slabs: TileSlabs,
-    pub(crate) profiles: Vec<Option<(u64, TrafficProfile)>>,
+    pub(crate) profiles: Vec<Option<TrafficProfile>>,
     /// The tiling/PE-split the slabs were computed under. An apply whose
     /// fresh tiling or Algorithm-2 split differs (vertex count moved a
     /// tile boundary, edge churn moved the op totals enough to shift the
@@ -233,10 +169,6 @@ pub(crate) struct SessionLayerState {
 #[derive(Debug, Default)]
 pub(crate) struct SessionState {
     pub(crate) layers: Vec<SessionLayerState>,
-    /// Route tables built by earlier applies, keyed by NoC config. Pure
-    /// functions of the config — they survive [`Self::invalidate`] and
-    /// save the O(k⁴) rebuild every apply would otherwise pay.
-    pub(crate) route_tables: HashMap<NocConfig, RouteTable>,
 }
 
 impl SessionState {
@@ -629,14 +561,9 @@ impl AuroraSimulator {
         let mut instructions = Vec::new();
         let mut reconfigs = 0u64;
         let mut total_cycles = 0u64;
-        // Route tables and tile traffic profiles persist across the run's
-        // layers: later layers rescale instead of re-binning. A session
-        // additionally donates the tables its earlier applies built —
-        // config-pure, so never stale — and takes them back at the end.
+        // Tile traffic profiles persist across the run's layers: later
+        // layers rescale instead of re-binning.
         let mut traffic_cache = TrafficCache::new();
-        if let Some((state, _)) = session.as_mut() {
-            traffic_cache.warm = std::mem::take(&mut state.route_tables);
-        }
         let wf = {
             let _span = span::enter(Stage::Workflow);
             Workflow::generate(model)
@@ -704,12 +631,6 @@ impl AuroraSimulator {
             }
         }
         put_engine_scratch(engine_arena);
-        if let Some((state, _)) = session.as_mut() {
-            // keep the tables even when a layer errored: they are pure
-            // functions of their configs, and the recovery recompute
-            // after `SessionState::invalidate` reuses them
-            traffic_cache.harvest_into(&mut state.route_tables);
-        }
         if let Some(e) = layer_err {
             return Err(e);
         }
@@ -1021,7 +942,7 @@ impl AuroraSimulator {
         // delta's dirty tiles; `session_profiles` is the per-tile traffic
         // store refreshed alongside.
         let mut dirty_mask: Option<Vec<bool>> = None;
-        let mut session_profiles: Option<&mut Vec<Option<(u64, TrafficProfile)>>> = None;
+        let mut session_profiles: Option<&mut Vec<Option<TrafficProfile>>> = None;
         let precompute_span = span::enter(Stage::TilePrecompute);
         let pres: PreTiles = match self.engine_core {
             EngineCore::Legacy => PreTiles::Legacy(
@@ -1113,7 +1034,7 @@ impl AuroraSimulator {
                         };
 
                         // Vertex-update traffic (the aggregation estimate goes
-                        // through the route-table cache on the sequential path
+                        // through the profile cache on the sequential path
                         // below). Without ring reconfiguration the vectors take
                         // mesh routes: same volume, roughly same hops, but the
                         // contention of a converging pattern — a 2× cycle
@@ -1401,18 +1322,19 @@ impl AuroraSimulator {
         };
         drop(precompute_span);
 
-        // Aggregation traffic through the cross-layer route-table/profile
-        // cache. Lookups, estimates of hits, and insertions all run on
-        // this sequential path — cache state and telemetry counters are
-        // identical at every AURORA_THREADS value; only the O(E) binning
-        // of missing tiles fans out over the pool.
+        // Aggregation traffic through the cross-layer profile cache.
+        // Lookups, estimates of hits, and insertions all run on this
+        // sequential path — cache state and telemetry counters are
+        // identical at every AURORA_THREADS value; only the route-leg
+        // builds and the O(E) binning of missing tiles fan out over the
+        // pool.
         let route_span = span::enter(Stage::RouteTableBuild);
         let mut hits = 0u64;
         for ti in 0..pres.len() {
             let view = pres.view(ti);
-            let table_id = cache.intern(view.noc_cfg, tel, &lscope);
+            let config_id = cache.intern(view.noc_cfg, tel, &lscope);
             let key = ProfileKey {
-                table_id,
+                config_id,
                 start: view.map.range.start,
                 end: view.map.range.end,
                 c_pe,
@@ -1426,7 +1348,7 @@ impl AuroraSimulator {
                     // the cache's profile is exactly what a fresh bin
                     // would produce — refresh the session store with it
                     if let Some(store) = session_profiles.as_deref_mut() {
-                        store[ti] = Some((view.noc_cfg.signature(), p.clone()));
+                        store[ti] = Some(p.clone());
                     }
                     seq.est_a_of.push(Some(p.estimate(
                         view.noc_cfg,
@@ -1440,36 +1362,45 @@ impl AuroraSimulator {
                 }
             }
         }
-        // Decide which missing tiles replay their session profile before
-        // any route table is touched: a clean tile whose stored profile
-        // still carries its config's signature needs no table at all.
-        // Every tile that will genuinely bin gets its table materialised
-        // here, sequentially in tile order, so a rejected configuration
-        // errors exactly where the historical build-at-intern did.
-        seq.replay.clear();
+        // A clean session tile replays its stored profile and needs no
+        // route legs. Every other missing tile bins over its
+        // configuration's legs, built once per distinct configuration in
+        // order of first use, so the first rejected configuration in tile
+        // order decides the error.
+        let mut leg_cfgs: Vec<&NocConfig> = Vec::new();
         for &ti in seq.miss_tiles.iter() {
+            let noc_cfg: &NocConfig = pres.view(ti).noc_cfg;
             let clean = dirty_mask.as_ref().is_some_and(|m| !m[ti]);
             let replays = clean
-                && session_profiles.as_deref().is_some_and(|store| {
-                    store[ti]
-                        .as_ref()
-                        .is_some_and(|(sig, _)| *sig == pres.view(ti).noc_cfg.signature())
-                });
-            if !replays {
-                cache.ensure_built(seq.keys[ti].table_id)?;
-            }
-            seq.replay.push(replays);
+                && session_profiles
+                    .as_deref()
+                    .is_some_and(|store| store[ti].is_some());
+            seq.legs_of.push(if replays {
+                None
+            } else {
+                Some(match leg_cfgs.iter().position(|c| *c == noc_cfg) {
+                    Some(i) => i,
+                    None => {
+                        leg_cfgs.push(noc_cfg);
+                        leg_cfgs.len() - 1
+                    }
+                })
+            });
         }
+        let legs: Vec<RouteLegs> = leg_cfgs
+            .into_par_iter()
+            .map(RouteLegs::build)
+            .collect::<Vec<_>>()
+            .into_iter()
+            .collect::<Result<_, _>>()?;
         drop(route_span);
         // Misses bin in parallel but resolve sequentially: the first
         // erroring tile (in tile order) decides the returned `SimError`,
         // independent of AURORA_THREADS.
         let traffic_span = span::enter(Stage::TrafficKernels);
         let binned: Vec<Result<TrafficProfile, aurora_noc::NocError>> = {
-            let cache_ref: &TrafficCache = cache;
             let miss_ref: &[usize] = &seq.miss_tiles;
-            let keys_ref: &[ProfileKey] = &seq.keys;
-            let replay_ref: &[bool] = &seq.replay;
+            let legs_of: &[Option<usize>] = &seq.legs_of;
             let pres_ref = &pres;
             let store_ref = session_profiles.as_deref();
             (0..miss_ref.len())
@@ -1478,22 +1409,17 @@ impl AuroraSimulator {
                     let _tag = span::stage_scope(Stage::TrafficKernels);
                     let ti = miss_ref[i];
                     // A clean session tile substitutes its stored profile
-                    // — same mapping, same edges, same route table (the
-                    // signature stamp is the invalidation hook) ⇒ the
-                    // same bin result without the O(E) pass or the O(k⁴)
-                    // table build. The sequential pass above decided.
-                    if replay_ref[i] {
-                        let (_, p) = store_ref.expect("replay implies a session")[ti]
+                    // — same mapping, same edges, same configuration ⇒
+                    // the same bin result without the O(E) pass. The
+                    // sequential pass above decided.
+                    let Some(leg) = legs_of[i] else {
+                        let p = store_ref.expect("replay implies a session")[ti]
                             .as_ref()
                             .expect("replay implies a stored profile");
                         return Ok(p.clone());
-                    }
+                    };
                     let sg = tiling.subgraph(g, ti);
-                    TrafficProfile::bin(
-                        cache_ref.table(keys_ref[ti].table_id),
-                        &pres_ref.view(ti).map,
-                        sg.edges(),
-                    )
+                    TrafficProfile::bin(&legs[leg], &pres_ref.view(ti).map, sg.edges())
                 })
                 .collect()
         };
@@ -1510,7 +1436,7 @@ impl AuroraSimulator {
             seq.est_a_of[ti] =
                 Some(profile.estimate(pres.view(ti).noc_cfg, msg_words, cfg.link_utilisation));
             if let Some(store) = session_profiles.as_deref_mut() {
-                store[ti] = Some((pres.view(ti).noc_cfg.signature(), profile.clone()));
+                store[ti] = Some(profile.clone());
             }
             cache.insert_profile(seq.keys[ti], profile);
         }

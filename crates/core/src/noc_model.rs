@@ -1,11 +1,11 @@
-//! On-chip traffic estimation via route-table kernels.
+//! On-chip traffic estimation via route-leg kernels.
 //!
 //! The paper's simulator measures on-chip communication as "the total
 //! number of on-chip communication cycles", driven by "communication
 //! amount, hop count, and efficient on-chip bandwidth" (§VI-C). This
 //! module charges every message its route (derived from the *same*
 //! routing functions as the cycle-level `aurora-noc` engine, precomputed
-//! into a [`RouteTable`]), accumulates per-router load, and converts the
+//! as [`RouteLegs`]), accumulates per-router load, and converts the
 //! profile to cycles as the max of
 //!
 //! * the **bandwidth bound** — total flit-hops over usable link capacity,
@@ -15,19 +15,19 @@
 //! plus the pipeline fill (average hop count + message serialisation).
 //! The estimate is validated against the cycle-level engine in the tests.
 //!
-//! Routes are pure functions of `(NocConfig, src, dst)` and a `k × k`
-//! fabric has only k⁴ PE pairs, so [`aggregation_traffic`] runs as a
-//! **two-pass kernel** — an O(E) counting pass binning edges into a flat
-//! k⁴ `(src_pe, dst_pe)` histogram, then one application of each distinct
-//! pair's precomputed [`RouteSummary`] scaled by its multiplicity —
-//! instead of the seed's O(E·hops) per-edge walk. The per-edge walker
-//! survives as a `#[cfg(test)]` oracle proven bit-identical (including
-//! the `NocError` cases) by the `kernel_matches_legacy_oracle` property
-//! test below.
+//! XY routing resolves X before Y, so every route is a row leg followed
+//! by a column leg, and a `k × k` fabric has only k³ legs each way.
+//! [`aggregation_traffic`] therefore runs as a **two-pass kernel** — an
+//! O(E) counting pass binning each edge into a row-leg and a column-leg
+//! histogram (k³ each), then an O(k³) push of those counts down each
+//! destination's next-hop tree — instead of the seed's O(E·hops)
+//! per-edge walk. The whole estimate costs O(E + k³) per tile. The
+//! per-edge walker survives as a `#[cfg(test)]` oracle proven
+//! bit-identical (per-router loads and the `NocError` cases included) by
+//! the `kernel_matches_legacy_oracle` property test below.
 
 use aurora_mapping::{MapView, VertexMapping};
-use aurora_noc::routing::{RouteSummary, RouteTable};
-use aurora_noc::{NocConfig, NocError, TopologyMode};
+use aurora_noc::{NocConfig, NocError, RouteLegs, TopologyMode};
 use aurora_telemetry::{Scope, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -132,7 +132,7 @@ fn link_count(cfg: &NocConfig) -> u64 {
 /// step — the eject-port `div_ceil` — *after* scaling, which is exactly
 /// what charging the full-size messages directly would compute. The
 /// engine caches these across layers (`noc.tile_profile.{hits,misses}`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficProfile {
     /// Mesh radix the profile was binned for (sanity-checked on use).
     k: usize,
@@ -149,25 +149,31 @@ pub struct TrafficProfile {
 }
 
 impl TrafficProfile {
-    /// O(E) counting pass + one O(k⁴) application of the route table: for
-    /// each edge `(u, v)` sourced in the tile a message flows from `PE(u)`
+    /// O(E) counting pass + one O(k³) push over the route legs: for each
+    /// edge `(u, v)` sourced in the tile a message flows from `PE(u)`
     /// towards `PE(v)` (in-tile destination) or down to the memory port at
     /// the top of its column (out-of-tile destination — the partial
-    /// aggregate leaves via the crossbar). Edges bin into a flat k⁴
-    /// `(src_pe, dst_pe)` histogram; each *distinct* pair's precomputed
-    /// summary is then applied once, scaled by its multiplicity.
+    /// aggregate leaves via the crossbar). Each message bins into its row
+    /// leg `(y_s; x_s → x_d)` and its column leg `(x_d; y_s → y_d)` — two
+    /// k³ histograms. Each line's counts towards one destination are then
+    /// pushed down that destination's next-hop tree, giving every router
+    /// the messages it forwards in O(k) per `(line, destination)`.
     ///
     /// Unroutable pairs surface as the same [`NocError`] (first erroring
     /// edge in iteration order) the per-edge walk would produce.
     pub fn bin(
-        table: &RouteTable,
+        legs: &RouteLegs,
         mapping: &MapView<'_>,
         edges: impl Iterator<Item = (u32, u32)>,
     ) -> Result<TrafficProfile, NocError> {
-        let k = table.config().k;
+        let k = legs.config().k;
         let n = k * k;
-        let mut hist = vec![0u64; n * n];
+        // row_hist[(y_s * k + x_d) * k + x_s], col_hist[(x_d * k + y_d) * k + y_s]
+        let mut row_hist = vec![0u64; n * k];
+        let mut col_hist = vec![0u64; n * k];
         let mut messages = 0u64;
+        // (x, y) of every PE, so the per-edge pass does no division
+        let xy: Vec<(usize, usize)> = (0..n).map(|pe| (pe % k, pe / k)).collect();
         let start = mapping.range.start;
         let len = mapping.range.end - start;
         for (u, v) in edges {
@@ -176,22 +182,26 @@ impl TrafficProfile {
             if lu >= len {
                 continue; // not sourced here
             }
-            let src = mapping.pe_of[lu as usize] as usize;
+            let (xs, ys) = xy[mapping.pe_of[lu as usize] as usize];
             let lv = v.wrapping_sub(start);
-            let dst = if lv < len {
-                mapping.pe_of[lv as usize] as usize
+            let (xd, yd) = if lv < len {
+                xy[mapping.pe_of[lv as usize] as usize]
             } else {
                 // exits via the memory crossbar at the top of src's column
-                src % k
+                (xs, 0)
             };
-            let slot = &mut hist[src * n + dst];
-            if *slot == 0 {
-                // certify each distinct pair on first sight — the first
-                // erroring edge is the first occurrence of an erroring
-                // pair, so the error order matches a per-edge check
-                table.summary(src, dst)?;
+            // certify each distinct leg on first sight — a route fails
+            // exactly when one of its legs does, so the first erroring
+            // edge is the first to use an unroutable leg
+            let row = &mut row_hist[(ys * k + xd) * k + xs];
+            let col = &mut col_hist[(xd * k + yd) * k + ys];
+            if (*row == 0 && legs.row(ys).leg(xs, xd).is_none())
+                || (*col == 0 && legs.col(xd).leg(ys, yd).is_none())
+            {
+                return Err(legs.route_error(ys * k + xs, yd * k + xd));
             }
-            *slot += 1;
+            *row += 1;
+            *col += 1;
             messages += 1;
         }
 
@@ -199,21 +209,42 @@ impl TrafficProfile {
         let mut eject = vec![0u64; n];
         let mut total_hops = 0u64;
         let mut bypass_hops = 0u64;
-        for src in 0..n {
-            for dst in 0..n {
-                let count = hist[src * n + dst];
-                if count == 0 {
-                    continue;
+        let mut acc = vec![0u64; k];
+        for (hist, is_row) in [(&row_hist, true), (&col_hist, false)] {
+            for line in 0..k {
+                let line_legs = if is_row {
+                    legs.row(line)
+                } else {
+                    legs.col(line)
+                };
+                for to in 0..k {
+                    let counts = &hist[(line * k + to) * k..][..k];
+                    let arrived: u64 = counts.iter().sum();
+                    if arrived == 0 {
+                        continue;
+                    }
+                    let (to_legs, order) = line_legs.toward(to);
+                    for (&c, leg) in counts.iter().zip(to_legs) {
+                        // unroutable legs were never counted (c == 0)
+                        total_hops += c * leg.hops as u64;
+                        bypass_hops += c * leg.bypass_hops as u64;
+                    }
+                    let node = |p: usize| if is_row { line * k + p } else { p * k + line };
+                    if !is_row {
+                        // every message's column leg ends at its destination
+                        eject[node(to)] += arrived;
+                    }
+                    // children before parents: each router's count is
+                    // final before it is forwarded to its next hop
+                    acc.copy_from_slice(counts);
+                    for &from in order {
+                        let a = acc[from as usize];
+                        if a != 0 {
+                            load[node(from as usize)] += a;
+                            acc[to_legs[from as usize].next as usize] += a;
+                        }
+                    }
                 }
-                let s: RouteSummary = table
-                    .summary(src, dst)
-                    .expect("pair certified during the counting pass");
-                total_hops += count * s.hops as u64;
-                bypass_hops += count * s.bypass_hops as u64;
-                for node in table.load_nodes(src, dst) {
-                    load[node] += count;
-                }
-                eject[dst] += count;
             }
         }
         Ok(TrafficProfile {
@@ -277,11 +308,11 @@ impl TrafficProfile {
 /// (see [`DEFAULT_LINK_UTILISATION`]).
 ///
 /// One-shot convenience over the kernel pipeline: builds the
-/// [`RouteTable`], bins a [`TrafficProfile`], and scales it. The routing
-/// functions behind the table are the engine's fallible ones, so a
+/// [`RouteLegs`], bins a [`TrafficProfile`], and scales it. The routing
+/// functions behind the legs are the engine's fallible ones, so a
 /// mis-segmented bypass config surfaces as a [`NocError`] instead of a
 /// panic deep inside the estimator. Callers estimating many tiles or
-/// layers against one config should hold the table (and profiles)
+/// layers against one config should hold the legs (and profiles)
 /// themselves, as `engine.rs` does.
 pub fn aggregation_traffic(
     cfg: &NocConfig,
@@ -290,8 +321,8 @@ pub fn aggregation_traffic(
     msg_words: usize,
     link_utilisation: f64,
 ) -> Result<OnChipEstimate, NocError> {
-    let table = RouteTable::build(cfg)?;
-    let profile = TrafficProfile::bin(&table, &mapping.view(), edges)?;
+    let legs = RouteLegs::build(cfg)?;
+    let profile = TrafficProfile::bin(&legs, &mapping.view(), edges)?;
     Ok(profile.estimate(cfg, msg_words, link_utilisation))
 }
 
@@ -372,26 +403,27 @@ mod tests {
         NocConfig::mesh(k)
     }
 
-    /// The seed's per-edge route walker — the oracle the two-pass kernel
-    /// must match bit-for-bit, including which [`NocError`] is returned.
-    fn legacy_aggregation_traffic(
+    /// The seed's per-edge route walker — the oracle the leg kernel must
+    /// match bit-for-bit, including which [`NocError`] is returned. Walks
+    /// every edge's route hop by hop at `flits_per_msg` flits per message
+    /// and returns the raw per-router forwarded and ejected flits.
+    fn walk_edges(
         cfg: &NocConfig,
         mapping: &VertexMapping,
         edges: impl Iterator<Item = (u32, u32)>,
-        msg_words: usize,
-        link_utilisation: f64,
-    ) -> Result<OnChipEstimate, NocError> {
+        flits_per_msg: u64,
+    ) -> Result<TrafficProfile, NocError> {
         use aurora_noc::routing::{compute_route, next_node};
         use aurora_noc::Port;
         let k = cfg.k;
-        let flits_per_msg = msg_words.div_ceil(cfg.words_per_flit).max(1) as u64;
-        let mut load = vec![0u64; k * k];
-        let mut eject = vec![0u64; k * k];
-        let mut flit_hops = 0u64;
-        let mut bypass_hops = 0u64;
-        let mut messages = 0u64;
-        let mut total_hops = 0u64;
-
+        let mut walked = TrafficProfile {
+            k,
+            load: vec![0u64; k * k],
+            eject: vec![0u64; k * k],
+            messages: 0,
+            total_hops: 0,
+            bypass_hops: 0,
+        };
         for (u, v) in edges {
             if !mapping.range.contains(&u) {
                 continue;
@@ -402,16 +434,15 @@ mod tests {
             } else {
                 src % k
             };
-            messages += 1;
+            walked.messages += 1;
             let mut cur = src;
             let mut guard = 0;
             while cur != dst {
                 let port = compute_route(cfg, cur, dst)?;
-                load[cur] += flits_per_msg;
-                flit_hops += flits_per_msg;
-                total_hops += 1;
+                walked.load[cur] += flits_per_msg;
+                walked.total_hops += 1;
                 if matches!(port, Port::BypassH | Port::BypassV) {
-                    bypass_hops += flits_per_msg;
+                    walked.bypass_hops += flits_per_msg;
                 }
                 cur = next_node(cfg, cur, port)?.ok_or(NocError::RoutingLivelock { src, dst })?;
                 guard += 1;
@@ -419,65 +450,109 @@ mod tests {
                     return Err(NocError::RoutingLivelock { src, dst });
                 }
             }
-            eject[cur] += flits_per_msg;
+            walked.eject[cur] += flits_per_msg;
         }
+        Ok(walked)
+    }
 
-        for (node, e) in eject.iter().enumerate() {
+    /// The seed's estimator over [`walk_edges`]: full-size messages
+    /// walked directly, eject ports folded in, then finalized.
+    fn legacy_aggregation_traffic(
+        cfg: &NocConfig,
+        mapping: &VertexMapping,
+        edges: impl Iterator<Item = (u32, u32)>,
+        msg_words: usize,
+        link_utilisation: f64,
+    ) -> Result<OnChipEstimate, NocError> {
+        let flits_per_msg = cfg.flits_per_message(msg_words);
+        let mut walked = walk_edges(cfg, mapping, edges, flits_per_msg)?;
+        for (node, e) in walked.eject.iter().enumerate() {
             let width =
                 1 + (cfg.h_bypass_peer(node).is_some() || cfg.v_bypass_peer(node).is_some()) as u64;
-            load[node] += e.div_ceil(width.max(1));
+            walked.load[node] += e.div_ceil(width.max(1));
         }
-
         Ok(finalize(
             cfg,
-            load,
-            flit_hops,
-            bypass_hops,
-            messages,
-            total_hops,
+            walked.load,
+            walked.total_hops * flits_per_msg,
+            walked.bypass_hops,
+            walked.messages,
+            walked.total_hops,
             flits_per_msg,
             link_utilisation,
         ))
     }
 
+    /// Disjoint segments on the lines picked by `lines`, with wire taps at
+    /// the set bits of each line's mask paired up in order — several
+    /// segments per line and many lines, the way per-tile bypass plans
+    /// fill a fabric.
+    fn segments(k: usize, lines: u64, taps: &[u64]) -> Vec<BypassSegment> {
+        let mut segs = Vec::new();
+        for (index, mask) in taps.iter().enumerate().take(k) {
+            if lines >> index & 1 == 0 {
+                continue;
+            }
+            let set: Vec<usize> = (0..k).filter(|p| mask >> p & 1 == 1).collect();
+            for pair in set.chunks_exact(2) {
+                segs.push(BypassSegment {
+                    index,
+                    from: pair[0],
+                    to: pair[1],
+                });
+            }
+        }
+        segs
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn kernel_matches_legacy_oracle(
-            k in 2usize..9,
+            k in 2usize..17,
             mode in 0u8..3,
             degree_mapped in proptest::bool::ANY,
-            raw in proptest::collection::vec((0u32..64, 0u32..64), 0..300),
+            raw in proptest::collection::vec((0u32..600, 0u32..600), 0..1500),
             msg_words in 0usize..40,
-            seg in (0usize..8, 0usize..8, 0usize..8, 0usize..8),
+            lines in (0u64..u64::MAX, 0u64..u64::MAX),
+            row_taps in proptest::collection::vec(0u64..u64::MAX, 16),
+            col_taps in proptest::collection::vec(0u64..u64::MAX, 16),
         ) {
             let cfg = match mode {
                 0 => NocConfig::mesh(k),
                 1 => NocConfig::rings(k), // cross-row pairs exercise NocError equivalence
                 _ => NocConfig::with_bypass(
                     k,
-                    // from = 0 < to ∈ 1..k keeps every sampled segment valid
-                    vec![BypassSegment { index: seg.0 % k, from: 0, to: 1 + seg.1 % (k - 1) }],
-                    vec![BypassSegment { index: seg.2 % k, from: 0, to: 1 + seg.3 % (k - 1) }],
+                    segments(k, lines.0, &row_taps),
+                    segments(k, lines.1, &col_taps),
                 ),
             };
             cfg.validate().unwrap();
 
-            // Vertices 8..40 are mapped; ids outside exercise the
+            // Vertices 40..552 are mapped; ids outside exercise the
             // skip-unsourced and fold-to-memory-port paths.
-            let range = 8u32..40u32;
-            let mut degrees = vec![0u32; 32];
+            let range = 40u32..552u32;
+            let len = (range.end - range.start) as usize;
+            let mut degrees = vec![0u32; len];
             for (u, _) in &raw {
                 if range.contains(u) {
                     degrees[(u - range.start) as usize] += 1;
                 }
             }
+            let c_pe = len.div_ceil(k * k) + 1;
             let mapping = if degree_mapped {
-                degree_aware::map(range.clone(), &degrees, k, 16)
+                degree_aware::map(range.clone(), &degrees, k, c_pe)
             } else {
-                hashing::map(range, &degrees, k, 16)
+                hashing::map(range, &degrees, k, c_pe)
             };
 
+            // per-router loads, ejections, hops and the exact error
+            let legs = RouteLegs::build(&cfg).unwrap();
+            let kernel = TrafficProfile::bin(&legs, &mapping.view(), raw.iter().copied());
+            let walked = walk_edges(&cfg, &mapping, raw.iter().copied(), 1);
+            prop_assert_eq!(&kernel, &walked);
+
+            // the scaled estimate, hot-router tie-break included
             let kernel = aggregation_traffic(
                 &cfg,
                 &mapping,
@@ -494,6 +569,35 @@ mod tests {
             );
             prop_assert_eq!(kernel, oracle);
         }
+    }
+
+    #[test]
+    fn first_erroring_edge_decides_the_error() {
+        // Ring mode routes within a row only; among several cross-row
+        // edges the first in iteration order decides the error.
+        let cfg = NocConfig::rings(4);
+        let mapping = hashing::map(0..16, &[1; 16], 4, 1);
+        let row = |v: u32| mapping.pe_of(v) / 4;
+        let pairs = || (0..16u32).flat_map(|u| (0..16u32).map(move |v| (u, v)));
+        let same: Vec<_> = pairs()
+            .filter(|&(u, v)| u != v && row(u) == row(v))
+            .collect();
+        let cross: Vec<_> = pairs().filter(|&(u, v)| row(u) != row(v)).collect();
+        let edges = [same[0], same[1], cross[7], same[2], cross[0], cross[9]];
+        let legs = RouteLegs::build(&cfg).unwrap();
+        let got = TrafficProfile::bin(&legs, &mapping.view(), edges.iter().copied()).unwrap_err();
+        let (u, v) = cross[7];
+        assert_eq!(
+            got,
+            NocError::CrossRowRingRoute {
+                cur: mapping.pe_of(u),
+                dst: mapping.pe_of(v)
+            }
+        );
+        assert_eq!(
+            Err(got),
+            walk_edges(&cfg, &mapping, edges.iter().copied(), 1)
+        );
     }
 
     /// The cached unit-flit profile rescaled to any message size must give
@@ -520,8 +624,8 @@ mod tests {
                 }],
             ),
         ] {
-            let table = RouteTable::build(&cfg).unwrap();
-            let profile = TrafficProfile::bin(&table, &d.view(), g.edges()).unwrap();
+            let legs = RouteLegs::build(&cfg).unwrap();
+            let profile = TrafficProfile::bin(&legs, &d.view(), g.edges()).unwrap();
             for words in [1, 3, 16, 17, 64] {
                 let scaled = profile.estimate(&cfg, words, DEFAULT_LINK_UTILISATION);
                 let direct = legacy_aggregation_traffic(

@@ -1,7 +1,7 @@
 //! NoC configuration: topology mode and bypass-link segmentation.
 
 use crate::error::{BypassKind, NocError};
-use crate::topology::NodeId;
+use crate::topology::{Coord, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// How the reconfigurable fabric is currently wired.
@@ -33,9 +33,9 @@ pub struct BypassSegment {
 
 /// Full NoC configuration.
 ///
-/// `Eq`/`Hash` make a configuration usable as a cache key (the route
-/// tables of `aurora_noc::routing::RouteTable` are pure functions of the
-/// configuration, so the engine memoizes them per distinct config).
+/// `Eq`/`Hash` make a configuration usable as a cache key (routes and
+/// traffic profiles are pure functions of the configuration, so the
+/// engine counts and caches per distinct config).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct NocConfig {
     /// Mesh radix: the network is `k × k`.
@@ -85,39 +85,6 @@ impl NocConfig {
             mode: TopologyMode::Rings,
             ..Self::mesh(k)
         }
-    }
-
-    /// A stable 64-bit content fingerprint of the configuration (FNV-1a
-    /// over radix, router provisioning, mode and every bypass segment).
-    /// Route tables and traffic profiles are pure functions of the
-    /// config, so a cached artifact stamped with this signature is valid
-    /// exactly while the signature matches — the invalidation hook the
-    /// incremental session engine checks before replaying a clean tile's
-    /// profile.
-    pub fn signature(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.k as u64);
-        mix(self.vcs as u64);
-        mix(self.vc_depth as u64);
-        mix(self.words_per_flit as u64);
-        mix(match self.mode {
-            TopologyMode::Mesh => 0,
-            TopologyMode::MeshWithBypass => 1,
-            TopologyMode::Rings => 2,
-        });
-        for seg in self.row_bypass.iter().chain(self.col_bypass.iter()) {
-            mix(seg.index as u64);
-            mix(seg.from as u64);
-            mix(seg.to as u64);
-        }
-        mix(self.row_bypass.len() as u64);
-        h
     }
 
     /// Validates structural invariants: positive radix/VCs/buffer
@@ -192,7 +159,12 @@ impl NocConfig {
     /// The horizontal bypass attachment of node `id`, if any: the node id
     /// at the other end of the segment.
     pub fn h_bypass_peer(&self, id: NodeId) -> Option<NodeId> {
-        let (x, y) = (id % self.k, id / self.k);
+        self.h_bypass_peer_at(Coord::of(id, self.k))
+    }
+
+    /// [`Self::h_bypass_peer`] of the router at `c`.
+    pub(crate) fn h_bypass_peer_at(&self, c: Coord) -> Option<NodeId> {
+        let (x, y) = (c.x, c.y);
         self.row_bypass.iter().find_map(|s| {
             if s.index != y {
                 None
@@ -208,7 +180,12 @@ impl NocConfig {
 
     /// The vertical bypass attachment of node `id`, if any.
     pub fn v_bypass_peer(&self, id: NodeId) -> Option<NodeId> {
-        let (x, y) = (id % self.k, id / self.k);
+        self.v_bypass_peer_at(Coord::of(id, self.k))
+    }
+
+    /// [`Self::v_bypass_peer`] of the router at `c`.
+    pub(crate) fn v_bypass_peer_at(&self, c: Coord) -> Option<NodeId> {
+        let (x, y) = (c.x, c.y);
         self.col_bypass.iter().find_map(|s| {
             if s.index != x {
                 None

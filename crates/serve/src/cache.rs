@@ -5,7 +5,7 @@
 //! engine's §VI-A op/access counting plus the worker pool's ordered-
 //! gather contract), so a digest hit returns the *exact* report a fresh
 //! run would produce. Eviction is FIFO with a bounded capacity, the same
-//! policy as the engine's route-table and tile-profile caches.
+//! policy as the engine's tile-profile cache.
 //!
 //! Single-flight: when several clients ask for the same digest
 //! concurrently, exactly one (the *leader*) runs the engine; the others

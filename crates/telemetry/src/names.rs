@@ -5,12 +5,12 @@
 //! another (engine ↔ tests), where a typo'd string would silently record
 //! into a fresh metric instead of failing to compile.
 
-/// Route tables constructed (one per distinct `NocConfig` the engine's
-/// traffic cache sees; a cached run builds each config's table once).
+/// Distinct `NocConfig`s the engine's traffic cache counts (one per
+/// first sight of a configuration since the last flush).
 pub const NOC_ROUTE_TABLE_BUILDS: &str = "noc.route_table.builds";
 
-/// Total `(src, dst)` pairs precomputed across all route-table builds
-/// (k⁴ per build).
+/// Total `(src, dst)` pairs routable across all counted configurations
+/// (k⁴ per configuration).
 pub const NOC_ROUTE_TABLE_PAIRS: &str = "noc.route_table.pairs";
 
 /// Tile traffic-profile cache hits: a later layer reused a tile's binned

@@ -63,11 +63,12 @@ pub enum Stage {
     /// Worker-side per-tile mapping work inside tile precompute
     /// (CPU time across workers; **not** a disjoint top-level stage).
     Mapping,
-    /// Per-`NocConfig` route-table construction.
+    /// Per-`NocConfig` route-leg construction (the stage keeps its
+    /// historical route-table name).
     RouteTableBuild,
     /// Parallel per-tile precompute (the `pres` region).
     TilePrecompute,
-    /// NoC traffic kernels (miss binning + route-table walks).
+    /// NoC traffic kernels (miss binning + route-leg pushes).
     TrafficKernels,
     /// The stateful cycle-level engine walk.
     EngineWalk,

@@ -129,10 +129,32 @@ if ratio > 1.05:
     sys.exit(1)
 EOF
 
+echo "==> k=64 Cora engine wall (< 150 ms, best of 3)"
+# The factored route-leg kernels cost O(E + k³) per tile, so even a
+# 64 x 64 array simulates Cora in well under the 150 ms budget (the
+# dense k⁴ route tables this replaced needed ~2.3 s just to build).
+# Engine wall is the host profiler's total, best of 3 runs.
+python3 - <<'EOF'
+import json, subprocess, sys
+
+CMD = ["./target/release/aurora_sim", "--dataset", "cora", "--model", "gcn",
+       "--k", "64", "--host-profile", "--json"]
+walls = []
+for _ in range(3):
+    out = subprocess.run(CMD, capture_output=True, text=True, check=True).stdout
+    walls.append(json.loads(out)["host_profile"]["total_wall_us"] / 1e3)
+best = min(walls)
+print(f"k=64 cora engine wall: best {best:.1f} ms of {[round(w, 1) for w in walls]}")
+if best >= 150.0:
+    print(f"k=64 gate FAILED: {best:.1f} ms >= 150 ms", file=sys.stderr)
+    sys.exit(1)
+EOF
+
 echo "==> noc_kernel_bench --quick (informational: traffic-kernel speedup)"
-# Wall-clock comparison of the route-table kernel vs the seed's per-edge
-# walker. Informational only — host timing never gates — but the binary
-# asserts the two estimators produce bit-identical results.
+# Wall-clock comparison of the route-leg kernel vs the seed's per-edge
+# walker, including a k=32 row with a multi-segment bypass plan (the
+# paper's regime). Informational only — host timing never gates — but
+# the binary asserts the two estimators produce bit-identical results.
 cargo run --release -q -p aurora-bench --bin noc_kernel_bench -- --quick
 
 echo "==> engine_kernel_bench --quick (bit-identity + alloc budget; speedup informational)"
