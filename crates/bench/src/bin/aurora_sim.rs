@@ -41,8 +41,7 @@
 use aurora_baselines::{BaselineKind, BaselineParams};
 use aurora_bench::cli::{self, Args, CommonFlags};
 use aurora_bench::protocol::shapes_for;
-use aurora_bench::run_inline;
-use aurora_core::{AcceleratorConfig, AuroraSimulator, SimReport};
+use aurora_core::{AcceleratorConfig, AuroraSimulator, SimReport, SimRequest};
 use aurora_graph::Dataset;
 use aurora_mapping::MappingPolicy;
 use aurora_model::ModelId;
@@ -164,13 +163,12 @@ fn main() {
     }
 
     let spec = dataset.spec().scaled(scale);
-    let g = spec.synthesize();
     let shapes = shapes_for(&spec, hidden);
     eprintln!(
-        "workload: {} (scale 1/{scale}): {} vertices, {} edges, {} features",
+        "workload: {} (scale 1/{scale}): {} vertices, ~{} edges, {} features",
         dataset.name(),
-        g.num_vertices(),
-        g.num_edges(),
+        spec.vertices,
+        spec.edges,
         spec.feature_dim
     );
 
@@ -179,8 +177,12 @@ fn main() {
             if !b.build(BaselineParams::default()).supports(model) {
                 cli::fail(&format!("{} does not support {}", b.name(), model.name()));
             }
-            b.build(BaselineParams::default())
-                .simulate(&g, model, &shapes, dataset.name())
+            b.build(BaselineParams::default()).simulate(
+                &spec.synthesize(),
+                model,
+                &shapes,
+                dataset.name(),
+            )
         }
         None => {
             let cfg = AcceleratorConfig {
@@ -190,14 +192,20 @@ fn main() {
                 dynamic_partition: dyn_part,
                 ..AcceleratorConfig::default()
             };
-            run_inline(
-                &AuroraSimulator::new(cfg).with_telemetry(telemetry.clone()),
-                &g,
-                model,
-                &shapes,
-                dataset.name(),
-                spec.feature_density,
-            )
+            // A dataset request, not an inline graph: synthesis runs
+            // inside `run`, under the host profiler's `graph_load` span.
+            let req = SimRequest::builder(model)
+                .config(cfg)
+                .dataset(dataset, scale)
+                .layers(&shapes)
+                .workload(dataset.name())
+                .input_density(spec.feature_density)
+                .build()
+                .unwrap_or_else(|e| cli::fail(&format!("invalid request: {e}")));
+            AuroraSimulator::new(cfg)
+                .with_telemetry(telemetry.clone())
+                .run(&req)
+                .unwrap_or_else(|e| cli::fail(&format!("simulation failed: {e}")))
         }
     };
 

