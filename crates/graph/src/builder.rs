@@ -67,15 +67,7 @@ impl GraphBuilder {
     pub fn build(mut self) -> Csr {
         self.edges.sort_unstable();
         self.edges.dedup();
-        let mut row_ptr = vec![0u32; self.n + 1];
-        for &(u, _) in &self.edges {
-            row_ptr[u as usize + 1] += 1;
-        }
-        for i in 0..self.n {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let col_idx = self.edges.into_iter().map(|(_, v)| v).collect();
-        Csr::from_raw(row_ptr, col_idx)
+        csr_from_sorted(self.edges, vec![0; self.n + 1], |_, _| true)
     }
 
     /// Builds the symmetrised graph: every added edge is mirrored.
@@ -90,6 +82,30 @@ impl GraphBuilder {
         }
         b.build()
     }
+}
+
+/// Converts sorted, deduplicated `edges` into a [`Csr`], keeping only the
+/// edges `keep` accepts. `row_ptr` must have length `n + 1` (its contents
+/// are overwritten); `col_idx` is collected in place into the edge
+/// buffer's allocation.
+pub(crate) fn csr_from_sorted(
+    edges: Vec<(VertexId, VertexId)>,
+    mut row_ptr: Vec<u32>,
+    keep: impl Fn(VertexId, VertexId) -> bool,
+) -> Csr {
+    row_ptr.fill(0);
+    for &(u, v) in &edges {
+        row_ptr[u as usize + 1] += keep(u, v) as u32;
+    }
+    for i in 1..row_ptr.len() {
+        row_ptr[i] += row_ptr[i - 1];
+    }
+    let col_idx = edges
+        .into_iter()
+        .filter(|&(u, v)| keep(u, v))
+        .map(|(_, v)| v)
+        .collect();
+    Csr::from_raw(row_ptr, col_idx)
 }
 
 #[cfg(test)]

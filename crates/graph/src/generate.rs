@@ -29,7 +29,7 @@
 //! Reddit at 1/16 (4.5 M draws) synthesizes in about 0.35 s on two
 //! threads, against 1.4 s for the original generator.
 
-use crate::builder::GraphBuilder;
+use crate::builder::{csr_from_sorted, GraphBuilder};
 use crate::csr::{Csr, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,8 +68,8 @@ impl RmatParams {
 }
 
 /// Draws per parallel chunk of the R-MAT stream. Graphs with at most
-/// this many draws (every request below ~52 k target edges) fill and sort
-/// on the calling thread alone.
+/// this many draws (every request below ~52 k target edges) fill on the
+/// calling thread alone.
 const CHUNK_DRAWS: usize = 1 << 16;
 
 /// SplitMix64's state increment (the golden-ratio constant).
@@ -157,29 +157,13 @@ fn rmat_in_chunks(
         }
     });
 
+    // The row-pointer array doubles as the split sort's histogram.
     let mut row_ptr = vec![0u32; n + 1];
-    if draws > chunk && rayon::current_num_threads() > 1 {
-        split_sort(&mut edges, &mut row_ptr);
-    } else {
-        edges.sort_unstable_by_key(edge_key);
-    }
+    split_sort(&mut edges, &mut row_ptr);
     edges.dedup();
-
     // Self-loops were drawn (each draw uses the same stream span either
     // way) but are not edges: drop them while converting in place.
-    row_ptr.fill(0);
-    for &(u, v) in &edges {
-        row_ptr[u as usize + 1] += (u != v) as u32;
-    }
-    for i in 0..n {
-        row_ptr[i + 1] += row_ptr[i];
-    }
-    let col_idx = edges
-        .into_iter()
-        .filter(|&(u, v)| u != v)
-        .map(|(_, v)| v)
-        .collect();
-    Csr::from_raw(row_ptr, col_idx)
+    csr_from_sorted(edges, row_ptr, |u, v| u != v)
 }
 
 /// Sorts `edges` by `(u, v)` as two halves under [`rayon::join`]. The
@@ -188,7 +172,8 @@ fn rmat_in_chunks(
 /// comes from a histogram of every 8th source in `counts` (length
 /// `n + 1`, zeroed; left dirty), and the partition is a branchless
 /// Lomuto pass — the sources are random, so a branchy one mispredicts
-/// on every other element.
+/// on every other element. On a one-thread pool `join` runs the halves
+/// in turn, which sorts no slower than one call on the whole buffer.
 fn split_sort(edges: &mut [(VertexId, VertexId)], counts: &mut [u32]) {
     const STRIDE: usize = 8;
     for &(u, _) in edges.iter().step_by(STRIDE) {

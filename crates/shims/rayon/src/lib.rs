@@ -18,7 +18,7 @@ pub use iter::{
     ParallelSlice,
 };
 pub use pool::{
-    configured_threads, current_num_threads, current_pool, current_stats, global_pool, join, PoolStats, ThreadPool,
+    configured_threads, current_pool, current_stats, global_pool, join, PoolStats, ThreadPool,
     WorkerStats,
 };
 

@@ -269,12 +269,6 @@ pub fn current_stats() -> PoolStats {
     current_pool().stats()
 }
 
-/// Thread count of the pool parallel iterators currently execute on
-/// (1 = the sequential path).
-pub fn current_num_threads() -> usize {
-    current_pool().threads()
-}
-
 /// The pool parallel iterators execute on: the pool installed on this
 /// thread (worker threads install their own), else the global pool.
 pub fn current_pool() -> ThreadPool {

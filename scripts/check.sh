@@ -165,8 +165,15 @@ walls = []
 for _ in range(3):
     out = subprocess.run(CMD, capture_output=True, text=True, check=True).stdout
     stages = json.loads(out)["host_profile"]["stages"]
-    walls.append(sum(s["wall_us"] for s in stages
-                     if s["stage"].lower() == "graphload") / 1e3)
+    wall = sum(s["wall_us"] for s in stages
+               if s["stage"].lower().replace("_", "") == "graphload") / 1e3
+    if wall <= 0.0:
+        # A missing or renamed stage would read 0 ms and pass unchecked.
+        print("synthesis gate FAILED: no graph_load stage with a nonzero wall "
+              f"in host_profile (stages: {[s['stage'] for s in stages]})",
+              file=sys.stderr)
+        sys.exit(1)
+    walls.append(wall)
 best = min(walls)
 print(f"reddit/16 graph_load: best {best:.1f} ms of {[round(w, 1) for w in walls]}")
 if best >= 600.0:
